@@ -26,10 +26,13 @@ clones rebind ``D_``/``C_`` names inside an outer job loop).  Batched
 results are therefore bitwise identical to running each job alone, and
 the serve tests pin that across apps and backends.
 
-Batched kernels are deliberately *not* cached: they close over the
-per-request stacked buffers.  The expensive artifact — the ``.so`` —
-is shared with single-job compiles (batch wrappers are always emitted,
-so the source digest matches) and cached on disk as usual.
+What is cached is the C library and its declared entry points: the
+first compile of a kernel, batched or not, loads one library (batch
+wrappers are always emitted, so single-job and batched compiles share
+it) and every later batch of that kernel reuses it from the process-wide
+cache in :mod:`repro.compiler.codegen_c`.  Only the pointers into each
+batch's stacked buffers, and the closures over them, are bound per
+batch.
 """
 
 from __future__ import annotations

@@ -40,7 +40,9 @@ source *and the compiler's identity* (path + version banner), so
 repeated runs pay the compiler cost once and a toolchain upgrade can
 never load a stale shared object.  A cache entry that fails to load
 (truncated write, foreign architecture) is evicted and rebuilt instead
-of erroring.
+of erroring.  In process, each kernel's loaded library is cached too,
+so binding a warm kernel to new arrays or a new batch generates, hashes
+and loads nothing.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -110,19 +113,37 @@ typedef long long i64;
 """
 
 
+#: (REPRO_NO_CC, CC, PATH) -> find_c_compiler() result, per process.
+_CC_FOUND: dict[tuple[str | None, ...], str | None] = {}
+
+
 def find_c_compiler() -> str | None:
     """Path of a usable C compiler, or None.
 
     ``REPRO_NO_CC`` (any non-empty value) forces None — the hook CI's
     no-toolchain job leg uses to prove the ``c`` mode degrades cleanly
     on machines without a compiler.
+
+    Memoized on the three variables it reads: the ``PATH`` scan is
+    asked for by the server's planner, the registry fingerprint and
+    every library bind, once per batch, and it is as slow as a small
+    kernel.  Changing any of the three probes afresh.
     """
-    if os.environ.get("REPRO_NO_CC"):
-        return None
-    for cand in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if cand and shutil.which(cand):
-            return cand
-    return None
+    env = (
+        os.environ.get("REPRO_NO_CC"),
+        os.environ.get("CC"),
+        os.environ.get("PATH"),
+    )
+    if env in _CC_FOUND:
+        return _CC_FOUND[env]
+    found = None
+    if not env[0]:
+        found = next(
+            (c for c in (env[1], "cc", "gcc", "clang") if c and shutil.which(c)),
+            None,
+        )
+    _CC_FOUND[env] = found
+    return found
 
 
 #: cc path -> one-line identity ("basename|version banner"), memoized per
@@ -992,12 +1013,16 @@ def generate_c_source(
     return "\n\n".join(parts) + "\n"
 
 
-def _cache_dir() -> Path:
+def _cache_root() -> Path:
+    """The ``.so`` cache directory, resolved without touching the disk."""
     root = os.environ.get("REPRO_CC_CACHE")
     if root:
-        path = Path(root)
-    else:
-        path = Path(tempfile.gettempdir()) / "repro_cc_cache"
+        return Path(root)
+    return Path(tempfile.gettempdir()) / "repro_cc_cache"
+
+
+def _cache_dir() -> Path:
+    path = _cache_root()
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -1206,19 +1231,78 @@ class CClones:
     walk_stats: np.ndarray | None = None
 
 
-def make_c_clones(ir: KernelIR) -> CClones:
-    """Compile all five clones to C and bind them through ctypes.
+_SERIAL_ONLY = "cc:parallel-source-failed->serial-clones"
 
-    ``argtypes``/``restype`` are prebound here, once per compiled clone;
-    calls then marshal plain Python ints into scalar ``i64`` parameters.
-    There are no per-call ctypes arrays and no mutable shared argument
-    buffers, so DAG workers invoke the same clone concurrently without
-    contending — and ctypes drops the GIL for the duration of each call,
-    which is what lets the task-DAG runtime scale on multicore hosts.
+
+@dataclass(frozen=True)
+class _KernelLibrary:
+    """One kernel's loaded shared object.
+
+    Every entry point's ``argtypes``/``restype`` is declared once, at
+    load, so binds only build closures.  ``has_parallel`` is False when
+    the pthread source failed to build and the serial-only source was
+    loaded instead.
     """
-    boundary_ok = all(
-        is_vectorizable_boundary(a.boundary) for a in ir.arrays.values()
+
+    lib: ctypes.CDLL
+    source: str
+    has_parallel: bool
+
+
+#: (ir.cache_key(), boundary_ok, .so cache dir, cc) -> _KernelLibrary.
+#: The generated source depends only on the kernel's shape, never on the
+#: buffers a bind points it at, so one load serves every later
+#: single-job compile and every batch of the same kernel: no codegen,
+#: hashing, cache-dir stat or ``CDLL`` on the per-batch path.  Emptied
+#: by :func:`repro.compiler.pipeline.clear_cache`, after which the next
+#: bind builds and loads afresh (and the ``cc.*``/``so.load`` fault
+#: sites fire again).  Unbounded, like the objects it names: ctypes
+#: never unloads a shared object, so evicting an entry would free only
+#: its source text.
+_LIBRARIES: dict[tuple, _KernelLibrary] = {}
+_LIBRARIES_LOCK = threading.Lock()
+
+
+def clear_library_cache() -> None:
+    """Forget every loaded kernel library (the on-disk ``.so`` files
+    stay; the next bind of each kernel reloads through them)."""
+    with _LIBRARIES_LOCK:
+        _LIBRARIES.clear()
+
+
+def _declare_entry_points(
+    lib: ctypes.CDLL, ir: KernelIR, *, boundary_ok: bool, has_parallel: bool
+) -> None:
+    d = ir.ndim
+    i64 = ctypes.c_longlong
+    ptr_types = [ctypes.POINTER(ctypes.c_double)] * (
+        len(ir.array_infos) + len(ir.const_arrays)
     )
+    # Scalar i64 parameters per single-job entry point; each batched
+    # wrapper takes one more (``nb``) ahead of them.
+    scalars = {
+        "interior_step": 1 + 2 * d,
+        "leaf": 2 + 4 * d,
+        "walk_subtree": 4 + 6 * d,
+    }
+    if boundary_ok:
+        scalars["boundary_step"] = scalars["interior_step"]
+        scalars["leaf_boundary"] = scalars["leaf"]
+    signatures = {}
+    for name, n in scalars.items():
+        signatures[name] = ptr_types + [i64] * n
+        signatures[f"{name}_batch"] = ptr_types + [i64] * (n + 1)
+    if has_parallel:
+        signatures["walk_subtree_par"] = (
+            ptr_types + [i64] * (5 + 6 * d) + [ctypes.POINTER(i64)]
+        )
+    for name, argtypes in signatures.items():
+        fn = getattr(lib, name)
+        fn.argtypes = argtypes
+        fn.restype = None
+
+
+def _load_library(ir: KernelIR, boundary_ok: bool) -> _KernelLibrary:
     # Prefer the source with the embedded pthread pool; if it fails to
     # build (a toolchain without working pthreads), fall back to the
     # serial-only source so the five existing clones survive unchanged.
@@ -1229,52 +1313,70 @@ def make_c_clones(ir: KernelIR) -> CClones:
         lib = load_shared_object(source, extra_flags=_PTHREAD_FLAGS)
         has_parallel = True
     except CompileError:
-        degradations.note("cc:parallel-source-failed->serial-clones")
+        degradations.note(_SERIAL_ONLY)
         source = generate_c_source(ir, include_boundary=boundary_ok)
         lib = load_shared_object(source)
         has_parallel = False
-
-    d = ir.ndim
-    n_ptr_args = len(ir.array_infos) + len(ir.const_arrays)
-    ptr_types = [ctypes.POINTER(ctypes.c_double)] * n_ptr_args
-    step_argtypes = ptr_types + [ctypes.c_longlong] * (1 + 2 * d)
-    leaf_argtypes = ptr_types + [ctypes.c_longlong] * (2 + 4 * d)
-    walk_argtypes = ptr_types + [ctypes.c_longlong] * (4 + 6 * d)
-    walk_par_argtypes = (
-        ptr_types
-        + [ctypes.c_longlong] * (5 + 6 * d)
-        + [ctypes.POINTER(ctypes.c_longlong)]
+    _declare_entry_points(
+        lib, ir, boundary_ok=boundary_ok, has_parallel=has_parallel
     )
+    return _KernelLibrary(lib, source, has_parallel)
 
-    arr_ptrs = [
-        ir.arrays[info.name].data.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-        for info in ir.array_infos
-    ]
-    # Keep contiguous const buffers alive for the lifetime of the clones:
-    # ctypes pointers do not hold a reference to their source array.
-    const_bufs = [
-        np.ascontiguousarray(ir.const_arrays[n].values)
-        for n in sorted(ir.const_arrays)
-    ]
-    ptrs = tuple(arr_ptrs) + tuple(
-        buf.ctypes.data_as(ctypes.POINTER(ctypes.c_double)) for buf in const_bufs
-    )
+
+def _kernel_library(ir: KernelIR, boundary_ok: bool) -> _KernelLibrary:
+    """The loaded library for ``ir``: built on the first call, looked up
+    on every later one.
+
+    A lookup re-notes the serial-only fallback of a library that took
+    it, so every run bound to that library reports it, as the first
+    did.  One-off build events (``.so`` eviction, a cc retry) are noted
+    once, by the run that met them.  Builds run outside the lock; two
+    threads racing on a cold kernel both load the same on-disk object
+    (the per-digest file lock runs cc once) and the first insert wins.
+    """
+    cc = find_c_compiler()
+    if cc is None:
+        raise CompileError("no C compiler found (tried $CC, cc, gcc, clang)")
+    key = (ir.cache_key(), boundary_ok, str(_cache_root()), cc)
+    with _LIBRARIES_LOCK:
+        entry = _LIBRARIES.get(key)
+    if entry is None:
+        entry = _load_library(ir, boundary_ok)
+        with _LIBRARIES_LOCK:
+            return _LIBRARIES.setdefault(key, entry)
+    if not entry.has_parallel:
+        degradations.note(_SERIAL_ONLY)
+    return entry
+
+
+def _boundary_ok(ir: KernelIR) -> bool:
+    return all(is_vectorizable_boundary(a.boundary) for a in ir.arrays.values())
+
+
+def _bind_clones(
+    kl: _KernelLibrary,
+    head: tuple,
+    keepalive: object,
+    *,
+    boundary_ok: bool,
+    suffix: str = "",
+) -> CClones:
+    """Closures over the ``suffix`` entry points of ``kl`` that pass
+    ``head`` (the data pointers, plus ``nb`` for batched entry points)
+    ahead of each call's scalars.  ``keepalive`` pins buffers the
+    pointers in ``head`` point into: ctypes pointers hold no reference
+    to their source array."""
+    lib = kl.lib
 
     def bind_step(fn) -> CloneFn:
-        fn.argtypes = step_argtypes
-        fn.restype = None
-
-        def clone(t, lo, hi, _keepalive=const_bufs):
-            fn(*ptrs, t, *lo, *hi)
+        def clone(t, lo, hi, _keepalive=keepalive):
+            fn(*head, t, *lo, *hi)
 
         return clone
 
     def bind_leaf(fn) -> LeafFn:
-        fn.argtypes = leaf_argtypes
-        fn.restype = None
-
-        def leaf(ta, tb, lo, hi, dlo, dhi, _keepalive=const_bufs):
-            fn(*ptrs, ta, tb, *lo, *hi, *dlo, *dhi)
+        def leaf(ta, tb, lo, hi, dlo, dhi, _keepalive=keepalive):
+            fn(*head, ta, tb, *lo, *hi, *dlo, *dhi)
             # Per-point MOD/CLAMP/fill resolution is exact for any
             # virtual box, so the C leaf never declines a region.
             return True
@@ -1282,29 +1384,66 @@ def make_c_clones(ir: KernelIR) -> CClones:
         return leaf
 
     def bind_walk(fn) -> WalkFn:
-        fn.argtypes = walk_argtypes
-        fn.restype = None
-
         def walk(
             ta, tb, lo, hi, dlo, dhi, slopes, thresholds, dt_th, hyper,
-            _keepalive=const_bufs,
+            _keepalive=keepalive,
         ):
             fn(
-                *ptrs, ta, tb, *lo, *hi, *dlo, *dhi, *slopes, *thresholds,
+                *head, ta, tb, *lo, *hi, *dlo, *dhi, *slopes, *thresholds,
                 dt_th, 1 if hyper else 0,
             )
 
         return walk
 
-    # One persistent stats buffer per compiled kernel; concurrent calls
-    # from DAG workers accumulate into it with C atomic adds, and the
-    # driver diffs snapshots around a run to report per-run counters.
-    walk_stats = np.zeros(3, dtype=np.int64)
-    walk_stats_ptr = walk_stats.ctypes.data_as(ctypes.POINTER(ctypes.c_longlong))
+    boundary: CloneFn | None = None
+    leaf_boundary: LeafFn | None = None
+    if boundary_ok:
+        boundary = bind_step(getattr(lib, f"boundary_step{suffix}"))
+        leaf_boundary = bind_leaf(getattr(lib, f"leaf_boundary{suffix}"))
+    return CClones(
+        bind_step(getattr(lib, f"interior_step{suffix}")),
+        boundary,
+        bind_leaf(getattr(lib, f"leaf{suffix}")),
+        leaf_boundary,
+        bind_walk(getattr(lib, f"walk_subtree{suffix}")),
+        kl.source,
+    )
 
-    def bind_walk_par(fn) -> WalkFn:
-        fn.argtypes = walk_par_argtypes
-        fn.restype = None
+
+def _double_ptr(buf: np.ndarray):
+    return buf.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
+
+
+def make_c_clones(ir: KernelIR) -> CClones:
+    """Bind the kernel's compiled clones to ``ir``'s own arrays.
+
+    The library comes from the process-wide cache: only the first bind
+    of a kernel generates, builds and loads it, and later binds (fresh
+    arrays of the same kernel) compute pointers and wrap closures.
+    Calls marshal plain Python ints into scalar ``i64`` parameters.
+    There are no per-call ctypes arrays and no mutable shared argument
+    buffers, so DAG workers invoke the same clone concurrently without
+    contending — and ctypes drops the GIL for the duration of each call,
+    which is what lets the task-DAG runtime scale on multicore hosts.
+    """
+    boundary_ok = _boundary_ok(ir)
+    kl = _kernel_library(ir, boundary_ok)
+    # Contiguous copies of the const arrays live as long as the clones.
+    const_bufs = [
+        np.ascontiguousarray(ir.const_arrays[n].values)
+        for n in sorted(ir.const_arrays)
+    ]
+    ptrs = tuple(
+        _double_ptr(ir.arrays[info.name].data) for info in ir.array_infos
+    ) + tuple(_double_ptr(buf) for buf in const_bufs)
+    clones = _bind_clones(kl, ptrs, const_bufs, boundary_ok=boundary_ok)
+    if kl.has_parallel:
+        # One persistent stats buffer per bind; concurrent calls from
+        # DAG workers accumulate into it with C atomic adds, and the
+        # driver diffs snapshots around a run to report per-run counters.
+        walk_stats = np.zeros(3, dtype=np.int64)
+        stats_ptr = walk_stats.ctypes.data_as(ctypes.POINTER(ctypes.c_longlong))
+        fn = kl.lib.walk_subtree_par
 
         def walk_par(
             ta, tb, lo, hi, dlo, dhi, slopes, thresholds, dt_th, hyper,
@@ -1312,32 +1451,12 @@ def make_c_clones(ir: KernelIR) -> CClones:
         ):
             fn(
                 *ptrs, ta, tb, *lo, *hi, *dlo, *dhi, *slopes, *thresholds,
-                dt_th, 1 if hyper else 0, nthreads, walk_stats_ptr,
+                dt_th, 1 if hyper else 0, nthreads, stats_ptr,
             )
 
-        return walk_par
-
-    interior = bind_step(lib.interior_step)
-    leaf = bind_leaf(lib.leaf)
-    walk = bind_walk(lib.walk_subtree)
-    walk_par: WalkFn | None = None
-    if has_parallel:
-        walk_par = bind_walk_par(lib.walk_subtree_par)
-    boundary: CloneFn | None = None
-    leaf_boundary: LeafFn | None = None
-    if boundary_ok:
-        boundary = bind_step(lib.boundary_step)
-        leaf_boundary = bind_leaf(lib.leaf_boundary)
-    return CClones(
-        interior,
-        boundary,
-        leaf,
-        leaf_boundary,
-        walk,
-        source,
-        walk_par=walk_par,
-        walk_stats=walk_stats if has_parallel else None,
-    )
+        clones.walk_par = walk_par
+        clones.walk_stats = walk_stats
+    return clones
 
 
 def make_c_batch_clones(
@@ -1355,93 +1474,27 @@ def make_c_batch_clones(
     by codegen-constant strides, so the only extra runtime argument is
     ``nb`` — baked into the returned closures, which therefore satisfy
     the ordinary :class:`CClones` call shapes (and run *every* job per
-    call).  The source digest matches :func:`make_c_clones` for the same
-    kernel, so a warm ``.so`` cache serves both without recompiling.
+    call).  The library is the one :func:`make_c_clones` binds for the
+    same kernel (batch wrappers are always emitted), taken from the same
+    process-wide cache: a warm kernel's batch binds only pointers.
 
     ``walk_par`` stays None: batching already amortizes dispatch, and
     jobs within a call run serially for bitwise reproducibility.
     """
-    boundary_ok = all(
-        is_vectorizable_boundary(a.boundary) for a in ir.arrays.values()
-    )
-    source = generate_c_source(
-        ir, include_boundary=boundary_ok, include_parallel=True
-    )
-    try:
-        lib = load_shared_object(source, extra_flags=_PTHREAD_FLAGS)
-    except CompileError:
-        degradations.note("cc:parallel-source-failed->serial-clones")
-        source = generate_c_source(ir, include_boundary=boundary_ok)
-        lib = load_shared_object(source)
-
-    d = ir.ndim
-    n_ptr_args = len(ir.array_infos) + len(ir.const_arrays)
-    ptr_types = [ctypes.POINTER(ctypes.c_double)] * n_ptr_args
-    step_argtypes = ptr_types + [ctypes.c_longlong] * (2 + 2 * d)
-    leaf_argtypes = ptr_types + [ctypes.c_longlong] * (3 + 4 * d)
-    walk_argtypes = ptr_types + [ctypes.c_longlong] * (5 + 6 * d)
-
     for info in ir.array_infos:
         buf = stacked[info.name]
         if not buf.flags["C_CONTIGUOUS"] or buf.dtype != np.float64:
             raise CompileError(f"stacked buffer for {info.name!r} must be "
                                f"C-contiguous float64")
+    boundary_ok = _boundary_ok(ir)
+    kl = _kernel_library(ir, boundary_ok)
     const_bufs = [
         np.ascontiguousarray(stacked_consts[n], dtype=np.float64)
         for n in sorted(ir.const_arrays)
     ]
-    ptrs = tuple(
-        stacked[info.name].ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-        for info in ir.array_infos
-    ) + tuple(
-        buf.ctypes.data_as(ctypes.POINTER(ctypes.c_double)) for buf in const_bufs
-    )
-    nb = int(nb)
-
-    def bind_step(fn) -> CloneFn:
-        fn.argtypes = step_argtypes
-        fn.restype = None
-
-        def clone(t, lo, hi, _keepalive=const_bufs):
-            fn(*ptrs, nb, t, *lo, *hi)
-
-        return clone
-
-    def bind_leaf(fn) -> LeafFn:
-        fn.argtypes = leaf_argtypes
-        fn.restype = None
-
-        def leaf(ta, tb, lo, hi, dlo, dhi, _keepalive=const_bufs):
-            fn(*ptrs, nb, ta, tb, *lo, *hi, *dlo, *dhi)
-            return True
-
-        return leaf
-
-    def bind_walk(fn) -> WalkFn:
-        fn.argtypes = walk_argtypes
-        fn.restype = None
-
-        def walk(
-            ta, tb, lo, hi, dlo, dhi, slopes, thresholds, dt_th, hyper,
-            _keepalive=const_bufs,
-        ):
-            fn(
-                *ptrs, nb, ta, tb, *lo, *hi, *dlo, *dhi, *slopes,
-                *thresholds, dt_th, 1 if hyper else 0,
-            )
-
-        return walk
-
-    boundary: CloneFn | None = None
-    leaf_boundary: LeafFn | None = None
-    if boundary_ok:
-        boundary = bind_step(lib.boundary_step_batch)
-        leaf_boundary = bind_leaf(lib.leaf_boundary_batch)
-    return CClones(
-        bind_step(lib.interior_step_batch),
-        boundary,
-        bind_leaf(lib.leaf_batch),
-        leaf_boundary,
-        bind_walk(lib.walk_subtree_batch),
-        source,
+    head = tuple(
+        _double_ptr(stacked[info.name]) for info in ir.array_infos
+    ) + tuple(_double_ptr(buf) for buf in const_bufs) + (int(nb),)
+    return _bind_clones(
+        kl, head, const_bufs, boundary_ok=boundary_ok, suffix="_batch"
     )

@@ -53,12 +53,17 @@ class KernelIR:
     unbound_params: frozenset[str]
 
     def cache_key(self) -> tuple:
-        """Hashable identity for the compiled-kernel cache."""
+        """Hashable identity of the generated code: everything codegen
+        bakes in (statements, grid and const-array sizes, storage and
+        boundary metadata), nothing about the buffers it runs on."""
         return (
             self.statements,
             self.sizes,
             self.array_infos,
-            tuple(sorted(self.const_arrays)),
+            tuple(
+                (name, tuple(c.sizes))
+                for name, c in sorted(self.const_arrays.items())
+            ),
         )
 
 

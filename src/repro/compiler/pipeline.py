@@ -13,7 +13,10 @@
 
 Compiled kernels are cached per (kernel AST, array metadata, mode): the
 generated code bakes in array identities, sizes and boundary kinds, so
-those form the cache key.
+those form the cache key.  Beneath that, the ``c`` backend caches each
+kernel's loaded library regardless of arrays
+(:func:`repro.compiler.codegen_c.make_c_clones`), so a compile on fresh
+arrays only binds pointers.  :func:`clear_cache` empties both.
 """
 
 from __future__ import annotations
@@ -117,8 +120,11 @@ def available_modes() -> tuple[str, ...]:
 
 
 def clear_cache() -> None:
+    """Drop every compiled kernel and every loaded C library, so the
+    next compile of each kernel generates, builds and loads afresh."""
     with _CACHE_LOCK:
         _CACHE.clear()
+    codegen_c.clear_library_cache()
 
 
 def resolve_mode(mode: str) -> str:

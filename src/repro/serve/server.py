@@ -143,6 +143,9 @@ class _Job:
     #: at batch launch: still-queued jobs past it are shed with
     #: :class:`JobExpired`, never silently run.
     deadline: float | None = None
+    #: The queue-deadline timer; cancelled on release, so a finished
+    #: job is not kept alive (problem, report and all) until it fires.
+    expiry: asyncio.TimerHandle | None = None
 
 
 def _options_token(options: RunOptions) -> str:
@@ -371,7 +374,9 @@ class StencilServer:
         if timeout is not None:
             # Fires only if the job is *still queued* then: a flushed
             # job is out of its pending group and the timer no-ops.
-            self._loop.call_later(timeout, self._expire_queued, key, job)
+            job.expiry = self._loop.call_later(
+                timeout, self._expire_queued, key, job
+            )
         if len(group) >= self.options.max_batch:
             self._flush(key)
         elif key not in self._flush_handles:
@@ -382,6 +387,8 @@ class StencilServer:
 
     def _release_job(self, job: _Job) -> None:
         """Drop one job from the in-system accounting (exactly once)."""
+        if job.expiry is not None:
+            job.expiry.cancel()
         self._in_system_jobs -= 1
         self._in_system_points -= job._points  # type: ignore[attr-defined]
 
@@ -534,11 +541,12 @@ class StencilServer:
     ) -> bool:
         """Single-flight kernel prewarm; returns whether it was warm.
 
-        The expensive artifact is the ``.so`` (shared by digest between
-        batched and single-job clones): one flight per (signature, mode)
-        builds it while concurrent batches of the same kernel await the
-        same future instead of racing into cc.  Cross-process, the
-        per-digest compile lock extends the same guarantee.  Prewarm
+        The expensive artifact is the kernel's C library (one per
+        kernel, shared by batched and single-job clones): one flight per
+        (signature, mode) builds and loads it while concurrent batches
+        of the same kernel await the same future instead of racing into
+        cc; every later batch binds the loaded library.  Cross-process,
+        the per-digest compile lock extends the same guarantee.  Prewarm
         failures are swallowed — the batch run itself will degrade (or
         raise) with full reporting.
         """

@@ -275,21 +275,21 @@ def _run_subtree_python(region: BaseRegion, compiled: "CompiledKernel") -> None:
 
     degradations.note("compiled-walk:python-replay")
     assert region.walk is not None
-    slopes, thresholds, dt_threshold, hyperspace = region.walk[:4]
-    ndim = len(slopes)
+    params = region.walk
+    ndim = len(params.slopes)
     # min/max offsets are irrelevant below a known-interior root (the
     # classification is inherited), so zeros suffice.
     spec = WalkSpec(
         sizes=compiled.ir.sizes,
-        slopes=slopes,
+        slopes=params.slopes,
         min_off=(0,) * ndim,
         max_off=(0,) * ndim,
     )
     opts = WalkOptions(
-        dt_threshold=dt_threshold,
-        space_thresholds=thresholds,
+        dt_threshold=params.dt_threshold,
+        space_thresholds=params.thresholds,
         protect_unit_stride=False,  # already folded into the thresholds
-        hyperspace=hyperspace,
+        hyperspace=params.hyperspace,
         compiled_walk=False,  # decompose fully: no re-delegation loop
     )
     for sub in iter_base_events(_events(region.zoid(), spec, opts, True)):
@@ -316,8 +316,7 @@ def run_base_region(region: BaseRegion, compiled: "CompiledKernel") -> None:
     if region.walk is not None:
         walk = compiled.walk
         if walk is not None:
-            slopes, thresholds, dt_threshold, hyperspace = region.walk[:4]
-            threads = region.walk[4] if len(region.walk) > 4 else 1
+            slopes, thresholds, dt_threshold, hyperspace, threads = region.walk
             lo, hi, dlo, dhi = zip(*region.dims)
             if threads > 1 and compiled.walk_par is not None:
                 # The in-.so pthread pool runs the subtree's same-level

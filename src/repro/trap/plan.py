@@ -36,7 +36,14 @@ Two execution-facing flattenings exist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Sequence,
+)
 
 from repro.errors import ExecutionError
 from repro.trap.zoid import DimExtent, Zoid
@@ -49,14 +56,19 @@ if TYPE_CHECKING:  # pragma: no cover
 PlanEvent = tuple
 
 
-#: The recursion parameters a subtree task carries so its executor can
-#: reproduce the walk below it: (slopes, effective space thresholds,
-#: dt threshold, hyperspace flag, walk threads).  Protected dimensions
-#: are encoded as a huge threshold (never cuttable), so no separate
-#: protect flags ride along.  ``walk_threads`` > 1 selects the parallel
-#: compiled walk (the in-.so pthread pool) when the backend built one;
-#: consumers tolerate the historical 4-tuple (threads default to 1).
-WalkParams = tuple
+class WalkParams(NamedTuple):
+    """The recursion parameters a subtree task carries so its executor
+    can reproduce the walk below it.  Protected dimensions are encoded
+    as a huge threshold (never cuttable), so no separate protect flags
+    ride along.  ``walk_threads`` > 1 selects the parallel compiled walk
+    (the in-.so pthread pool) when the backend built one."""
+
+    slopes: tuple[int, ...]
+    #: Effective per-dimension space thresholds.
+    thresholds: tuple[int, ...]
+    dt_threshold: int
+    hyperspace: bool
+    walk_threads: int
 
 
 @dataclass(frozen=True, slots=True)

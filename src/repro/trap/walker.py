@@ -28,7 +28,13 @@ from typing import Iterator, Sequence
 from repro.errors import SpecificationError
 from repro.trap.coarsening import default_dt_threshold, default_space_thresholds
 from repro.trap.cuts import choose_cut, time_cut_children
-from repro.trap.plan import BaseRegion, PlanEvent, PlanNode, plan_from_events
+from repro.trap.plan import (
+    BaseRegion,
+    PlanEvent,
+    PlanNode,
+    WalkParams,
+    plan_from_events,
+)
 from repro.trap.zoid import Zoid
 
 
@@ -268,7 +274,7 @@ def _events(
                 tb=z.tb,
                 dims=z.dims,
                 interior=True,
-                walk=(
+                walk=WalkParams(
                     spec.slopes,
                     opts.effective_thresholds(z.ndim),
                     opts.dt_threshold,

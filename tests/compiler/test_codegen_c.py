@@ -116,11 +116,11 @@ class TestGeneratedSource:
 
         from repro.compiler.pipeline import compile_kernel
         from repro.trap.executor import run_base_region
-        from repro.trap.plan import BaseRegion
+        from repro.trap.plan import BaseRegion, WalkParams
 
         region = BaseRegion(
             1, 4, ((1, 7, 0, 0), (1, 7, 1, -1)), interior=True,
-            walk=((1, 1), (2, 2), 1, True),
+            walk=WalkParams((1, 1), (2, 2), 1, True, 1),
         )
         st_a, u_a, k_a = make_heat_problem((8, 8), seed=3)
         compiled = compile_kernel(st_a.prepare(5, k_a), "c")
@@ -186,3 +186,137 @@ class TestNoCompilerGate:
         from repro.compiler.pipeline import available_modes
 
         assert "c" not in available_modes()
+
+
+class TestLibraryCache:
+    """Each kernel's library is generated, built and loaded once per
+    process; later compiles and batches of the kernel only bind
+    pointers, until ``pipeline.clear_cache()`` drops the library."""
+
+    SIZES = (12, 12)
+    STEPS = 4
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count generate_c_source / build_shared_object calls."""
+        counts = {"generate_c_source": 0, "build_shared_object": 0}
+        for name in counts:
+            original = getattr(codegen_c, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(codegen_c, name, counted)
+        return counts
+
+    def _problems(self, seeds):
+        out = []
+        for seed in seeds:
+            st_, _, k = make_heat_problem(self.SIZES, seed=seed)
+            out.append(st_.prepare(self.STEPS, k))
+        return out
+
+    def _run_single(self, seed):
+        st_, _, k = make_heat_problem(self.SIZES, seed=seed)
+        return st_.run(self.STEPS, k, mode="c")
+
+    def _batch(self, seeds):
+        from repro.language.stencil import RunOptions
+        from repro.trap.driver import execute_batch
+
+        return execute_batch(self._problems(seeds), RunOptions(mode="c"))
+
+    def test_warm_kernel_binds_without_codegen_or_cc(self, cc_cache, calls):
+        first = self._batch([0, 1, 2])
+        assert first[0].mode == "c"
+        assert calls["generate_c_source"] >= 1
+        assert calls["build_shared_object"] >= 1
+        calls.update(generate_c_source=0, build_shared_object=0)
+        later = self._batch([3, 4, 5])
+        single = self._run_single(6)  # fresh arrays: a compile-cache miss
+        assert later[0].mode == "c" and single.mode == "c"
+        assert calls == {"generate_c_source": 0, "build_shared_object": 0}
+
+    def test_clear_cache_rebuilds_and_refires_so_load(self, cc_cache, calls):
+        from repro.compiler.pipeline import clear_cache
+        from repro.resilience import faults
+
+        self._run_single(0)
+        with faults.injected("so.load", times=1) as spec:
+            warm = self._run_single(1)
+            assert spec.fired == 0  # a warm bind loads nothing
+        assert "so-cache:evicted-rebuilt" not in warm.degradations
+        clear_cache()
+        calls.update(generate_c_source=0, build_shared_object=0)
+        with faults.injected("so.load", times=1) as spec:
+            report = self._run_single(2)
+            assert spec.fired == 1
+        assert report.mode == "c"
+        assert "so-cache:evicted-rebuilt" in report.degradations
+        assert calls["generate_c_source"] >= 1
+        assert calls["build_shared_object"] >= 1
+
+    def test_other_cache_dir_misses(self, tmp_path, monkeypatch, calls):
+        monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path / "a"))
+        self._run_single(0)
+        calls.update(generate_c_source=0, build_shared_object=0)
+        monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path / "b"))
+        assert self._run_single(1).mode == "c"
+        assert calls["generate_c_source"] >= 1
+        assert calls["build_shared_object"] >= 1
+        assert list((tmp_path / "b").glob("kernel_*.so"))
+
+    def test_serial_fallback_is_noted_on_every_bind(self, cc_cache, monkeypatch):
+        """A library cached after the pthread source failed keeps
+        reporting that fallback: later batches, served from the cache,
+        report exactly what the first one did."""
+        from repro.compiler.pipeline import compile_kernel
+        from repro.errors import CompileError
+
+        load = codegen_c.load_shared_object
+
+        def no_pthread(source, *, extra_flags=()):
+            if extra_flags:
+                raise CompileError("injected: pthread source does not build")
+            return load(source)
+
+        monkeypatch.setattr(codegen_c, "load_shared_object", no_pthread)
+        first = self._batch([0, 1])
+        later = self._batch([2, 3])
+        assert "cc:parallel-source-failed->serial-clones" in first[0].degradations
+        assert [r.degradations for r in later] == [r.degradations for r in first]
+        single = compile_kernel(self._problems([4])[0], "c")
+        assert single.walk_par is None and single.walk is not None
+
+    def test_concurrent_cold_binds_share_one_library(self, cc_cache):
+        """More threads than cores bind one cold kernel at once: every
+        run is bound through the single cached library and computes the
+        same bits as a run on the warm cache."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        import numpy as np
+
+        from repro.compiler.pipeline import compile_kernel
+
+        def run(seed):
+            st_, u, k = make_heat_problem(self.SIZES, seed=seed)
+            problem = st_.prepare(self.STEPS, k)
+            st_.run(self.STEPS, k, mode="c")
+            return compile_kernel(problem, "c"), u.snapshot(st_.cursor)
+
+        seeds = range(6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(seeds)) as pool:
+                futures = [pool.submit(run, s) for s in seeds]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        entries = [k for k in codegen_c._LIBRARIES if k[2] == str(cc_cache)]
+        assert len(entries) == 1
+        assert len({id(compiled.sources["c"]) for compiled, _ in results}) == 1
+        for seed, (_, got) in zip(seeds, results):
+            assert np.array_equal(got, run(seed)[1])

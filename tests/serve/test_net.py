@@ -12,7 +12,10 @@ executes exactly once.
 
 from __future__ import annotations
 
+import gc
 import socket
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from repro.serve import (
 )
 from repro.serve import protocol
 from repro.serve.protocol import T_ERROR, T_RESULT, T_SUBMIT
+from repro.serve.server import StencilServer
 from tests.conftest import has_c_backend
 
 MODE = "c" if has_c_backend() else "split_pointer"
@@ -144,6 +148,33 @@ def test_remote_deadline_sheds_queued_job_typed():
         assert msg["key"] == "deadline-key"
         assert lb.server.stats["expired"] == 1
         assert lb.server.stats["completed"] == 0
+
+
+def test_finished_remote_job_is_released(monkeypatch):
+    """A served job with a long deadline must not outlive its response:
+    the queue-deadline timer is cancelled when the job finishes, so the
+    server keeps no reference to the job's problem (or its report)."""
+    seen: list[weakref.ref] = []
+    submit_problem = StencilServer.submit_problem
+
+    async def spy(self, problem, *args, **kwargs):
+        seen.append(weakref.ref(problem))
+        return await submit_problem(self, problem, *args, **kwargs)
+
+    monkeypatch.setattr(StencilServer, "submit_problem", spy)
+    with LoopbackServer(ServeOptions(max_batch=1, batch_window=0.01)) as lb:
+        app = _build(0)
+        with _client(lb) as client:
+            client.submit(app.stencil, app.steps, app.kernel, timeout=60.0)
+        assert len(seen) == 1
+        # The server thread may still be unwinding the request handler
+        # when the response lands; it has well under 60 s to let go.
+        for _ in range(100):
+            gc.collect()
+            if seen[0]() is None:
+                break
+            time.sleep(0.02)
+        assert seen[0]() is None, "server still holds the finished job"
 
 
 def test_server_busy_crosses_the_wire_with_fields():

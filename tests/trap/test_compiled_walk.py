@@ -34,7 +34,12 @@ from repro.language.stencil import RunOptions
 from repro.trap.driver import build_events, build_plan
 from repro.trap.executor import run_base_region
 from repro.trap.graph import build_task_graph
-from repro.trap.plan import BaseRegion, iter_base_events, iter_base_serial
+from repro.trap.plan import (
+    BaseRegion,
+    WalkParams,
+    iter_base_events,
+    iter_base_serial,
+)
 from repro.trap.walker import (
     NEVER_CUT,
     WALK_GRAIN_SPACE,
@@ -101,7 +106,7 @@ def _interior_subtrees(draw):
         ta + h,
         tuple(dims),
         interior=True,
-        walk=((1,) * ndim, th, dt_th, hyper),
+        walk=WalkParams((1,) * ndim, th, dt_th, hyper, 1),
     )
     return sizes, region
 

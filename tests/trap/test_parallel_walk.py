@@ -37,7 +37,7 @@ from repro.compiler.pipeline import compile_kernel
 from repro.errors import SpecificationError
 from repro.language.stencil import RunOptions
 from repro.trap.executor import run_base_region
-from repro.trap.plan import BaseRegion
+from repro.trap.plan import BaseRegion, WalkParams
 from tests.conftest import has_c_backend, make_heat_problem
 
 T_MAX = 8
@@ -56,10 +56,8 @@ def _fresh_compiled(sizes, boundary="periodic", seed=11):
 
 
 def _with_threads(region: BaseRegion, threads: int) -> BaseRegion:
-    """The same subtree task with the thread count swapped in the
-    5-tuple WalkParams (4-tuple regions read as serial)."""
-    walk = region.walk[:4] + (threads,)
-    return replace(region, walk=walk)
+    """The same subtree task with the thread count swapped."""
+    return replace(region, walk=region.walk._replace(walk_threads=threads))
 
 
 @st.composite
@@ -101,7 +99,7 @@ def _interior_subtrees(draw):
         ta + h,
         tuple(dims),
         interior=True,
-        walk=((1,) * ndim, th, dt_th, hyper, threads),
+        walk=WalkParams((1,) * ndim, th, dt_th, hyper, threads),
     )
     return sizes, region
 
@@ -143,7 +141,7 @@ class TestRandomSubtrees:
         written exactly once, from already-complete neighbors)."""
         region = BaseRegion(
             1, 7, ((1, 11, 0, 0), (1, 10, 1, -1)), interior=True,
-            walk=((1, 1), (2, 2), 1, True, 3),
+            walk=WalkParams((1, 1), (2, 2), 1, True, 3),
         )
         u0, compiled = _fresh_compiled(GRIDS[2])
         run_base_region(region, compiled)
@@ -246,7 +244,7 @@ class TestDegradation:
         sizes = (17, 13)
         region = BaseRegion(
             1, 6, ((1, 15, 0, 0), (1, 11, 1, -1)), interior=True,
-            walk=((1, 1), (2, 2), 1, True, 3),
+            walk=WalkParams((1, 1), (2, 2), 1, True, 3),
         )
         monkeypatch.setenv("REPRO_WALK_POOL_FAIL", "1")
         u_f, compiled = _fresh_compiled(sizes)
@@ -269,7 +267,7 @@ class TestDegradation:
         u, compiled = _fresh_compiled(GRIDS[2])
         region = BaseRegion(
             1, 6, ((1, 11, 0, 0), (1, 10, 1, -1)), interior=True,
-            walk=((1, 1), (2, 2), 1, True, 1),
+            walk=WalkParams((1, 1), (2, 2), 1, True, 1),
         )
         before = compiled.walk_stats_snapshot()
         run_base_region(region, compiled)
@@ -326,20 +324,3 @@ class TestOptionSurface:
     def test_explicit_count_resolves_verbatim(self):
         assert RunOptions(walk_threads=5).resolve_walk_threads() == 5
         assert RunOptions(walk_threads=1).resolve_walk_threads() == 1
-
-    def test_four_tuple_walk_params_read_as_serial(self):
-        """Pre-knob WalkParams (4-tuple) must keep executing — the
-        executor reads a missing fifth element as one thread."""
-        if not has_c_backend():
-            pytest.skip("no C compiler")
-        region = BaseRegion(
-            1, 4, ((1, 7, 0, 0), (1, 7, 1, -1)), interior=True,
-            walk=((1, 1), (2, 2), 1, True),
-        )
-        u_old, compiled = _fresh_compiled(GRIDS[2])
-        before = compiled.walk_stats_snapshot()
-        run_base_region(region, compiled)
-        assert compiled.walk_stats_snapshot() == before
-        u_new, compiled_n = _fresh_compiled(GRIDS[2])
-        run_base_region(_with_threads(region, 1), compiled_n)
-        assert np.array_equal(u_old.data, u_new.data)
